@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -504,7 +504,7 @@ class SimulationDriver:
     # ------------------------------------------------------------------
     def _fill_pool(
         self, owner: Peer, now: int, target_size: int, max_examined: int
-    ) -> List[Union[Candidate, Tuple[int, int]]]:
+    ) -> List[Tuple[int, int]]:
         """Fused candidate sampling and mutual acceptance (section 3.2).
 
         Draws are consumed in *chunks* rather than one at a time: each
@@ -524,9 +524,7 @@ class SimulationDriver:
         chunk-granular.  The loop bounds are re-checked only between
         chunks.
 
-        When the strategy declares no data needs, no
-        :class:`Candidate` object is ever built: the pool is a list of
-        ``(peer_id, age)`` pairs.
+        The pool is a list of ``(peer_id, age)`` pairs.
         """
         population = self.population
         peers = population.peers
@@ -534,7 +532,7 @@ class SimulationDriver:
         selection = self._selection_draws
         acceptance = self._acceptance_draws
         seen = set()
-        accepted: List[Union[Candidate, Tuple[int, int]]] = []
+        accepted: List[Tuple[int, int]] = []
         examined = 0
         if online:
             sample_budget = 8 * len(online) + 64
@@ -543,7 +541,6 @@ class SimulationDriver:
             holders = owner.archive.holders
             check_quota = not owner.is_observer
             quota = self.config.quota
-            fast = self._fast_candidates
             rule = self._acceptance_kind
             if rule == "age":
                 cap = self.acceptance.age_cap
@@ -593,13 +590,7 @@ class SimulationDriver:
                             continue
                         if not decide(age, owner_age, pairs[2 * position + 1]):
                             continue
-                    if fast:
-                        accepted.append((candidate_id, age))
-                    else:
-                        accepted.append(
-                            self._describe_candidate(peers[candidate_id])
-                        )
-        del accepted[target_size:]
+                    accepted.append((candidate_id, age))
         self.metrics.record_pool(examined, len(accepted))
         return accepted
 
@@ -631,7 +622,9 @@ class SimulationDriver:
         pool = self._fill_pool(owner, now, pool_target, max_examined)
         if self._fast_candidates:
             return self.strategy.select_pairs(pool, needed, self.rng.selection)
-        return self.strategy.select(pool, needed, self.rng.selection)
+        peers = self.population.peers
+        candidates = [self._describe_candidate(peers[peer_id]) for peer_id, _ in pool]
+        return self.strategy.select(candidates, needed, self.rng.selection)
 
     def _handle_sample(self, now: int) -> None:
         ages = [peer.age(now) for peer in self.population.alive_normal_peers()]

@@ -11,8 +11,8 @@ full census series) is identical to the abstract backend's for the same
 configuration and seed; ``tests/sim/test_soa_equivalence.py`` pins that
 for every registered scenario preset.
 
-Why it is faster (the layout that makes 10^6-peer populations fit in
-memory, and sub-second ``paper`` default-scale runs):
+Why it is faster (and the layout that makes 10^6-peer populations fit
+in memory):
 
 * session toggles — the dominant event kind — are not dispatched one
   event at a time: the queue keeps each round's toggles in a dense
@@ -26,9 +26,10 @@ memory, and sub-second ``paper`` default-scale runs):
 * the remaining scalar handlers (checks, deaths, repair bookkeeping)
   touch C-backed list slots instead of attribute-walking three heap
   objects per peer;
-* the recruitment loop inlines the :class:`repro.sim.rng.BatchedDraws`
-  buffer arithmetic (one bounds check + one index per draw, no method
-  calls) while consuming the exact same draw sequence;
+* recruitment fills its pool from whole chunks of
+  :class:`repro.sim.rng.BatchedDraws` uniforms, consuming the exact
+  same draw sequence: a scalar fill for ordinary pools and a vector
+  fill (dedup, filters and acceptance as array passes) for large ones;
 * the periodic census is one vectorised mask/searchsorted/bincount over
   the numpy mirror columns instead of a Python loop over every peer;
 * per-peer ``SessionProcess``/lifetime/``Event`` objects are replaced
@@ -90,10 +91,9 @@ class SoaSimulation:
 
     #: pool-size cut-over between the scalar and vectorised pool fills
     #: (both are draw-identical, so the cut is purely a speed knob).
-    #: Measured at default scale: numpy dispatch overhead loses to the
-    #: scalar loop for every ordinary pool size, so only swarm-scale
-    #: populations (which take the vector kernel anyway) fill with
-    #: arrays.
+    #: Below it numpy dispatch overhead loses to the scalar loop (every
+    #: pool at default scale); wide codes (FULL geometry, pools of
+    #: hundreds) and swarm-scale populations fill with arrays.
     _SCALAR_POOL_TARGET = 64
 
     def __init__(self, config: SimulationConfig):
@@ -720,25 +720,20 @@ class SoaSimulation:
     def _select_candidates(self, owner_id: int, now: int, needed: int) -> List[int]:
         pool_target = int(math.ceil(self.config.pool_factor * needed))
         max_examined = int(self.config.max_examined_factor * needed) + 16
-        if self._fast_candidates and self._acceptance_kind != "custom":
-            # Small pools sample a few dozen candidates per chunk, where
-            # the vectorised fill's array machinery costs more than
-            # scalar evaluation; route them to its draw-identical
-            # scalar twin.  Larger pools (hundreds of samples) amortise
-            # the array dispatch and stay on the vector fill.
-            if pool_target < self._SCALAR_POOL_TARGET and not self._vector_kernel:
-                pool = self._fill_pool_small(
-                    owner_id, now, pool_target, max_examined
-                )
-            else:
-                pool = self._fill_pool_fast(
-                    owner_id, now, pool_target, max_examined
-                )
-            return self.strategy.select_pairs(pool, needed, self.rng.selection)
-        pool = self._fill_pool_generic(owner_id, now, pool_target, max_examined)
+        # The vector fill handles only pair pools under the inlined
+        # rules; everything else is evaluated candidate by candidate.
+        if (
+            self._fast_candidates
+            and self._acceptance_kind != "custom"
+            and (self._vector_kernel or pool_target >= self._SCALAR_POOL_TARGET)
+        ):
+            pool = self._fill_pool_fast(owner_id, now, pool_target, max_examined)
+        else:
+            pool = self._fill_pool_scalar(owner_id, now, pool_target, max_examined)
         if self._fast_candidates:
             return self.strategy.select_pairs(pool, needed, self.rng.selection)
-        return self.strategy.select(pool, needed, self.rng.selection)
+        candidates = [self._describe_candidate(peer_id, now) for peer_id, _ in pool]
+        return self.strategy.select(candidates, needed, self.rng.selection)
 
     def _fill_pool_fast(
         self, owner_id: int, now: int, target_size: int, max_examined: int
@@ -866,18 +861,18 @@ class SoaSimulation:
         self.metrics.record_pool(examined, len(accepted))
         return accepted
 
-    def _fill_pool_small(
+    def _fill_pool_scalar(
         self, owner_id: int, now: int, target_size: int, max_examined: int
     ):
-        """Scalar twin of ``_fill_pool_fast`` for sub-vector populations.
+        """Candidate-by-candidate twin of ``_fill_pool_fast``.
 
         Identical draw consumption and acceptance arithmetic — same
         chunk sizes from the same ``BatchedDraws`` buffers, the same
-        pre-folded integer acceptance bound — but evaluated candidate
-        by candidate: at a few hundred samples per chunk the numpy
+        pre-folded integer bound for the age rule — but evaluated one
+        candidate at a time: at a few dozen samples per chunk the numpy
         dedup/filter/cumsum pipeline costs more than the loop it
-        replaces.  Scalar-kernel mode only (``_online_items`` must be
-        the list representation).
+        replaces.  Opaque (custom) rules are asked through ``decide``,
+        once per side, on the same two uniforms.
         """
         state = self.state
         n_online = self._online_size
@@ -887,16 +882,19 @@ class SoaSimulation:
             selection_take = self._selection_draws.take
             acceptance_take = self._acceptance_draws.take
             online_items = self._online_items
+            if self._vector_kernel:
+                online_items = online_items[:n_online].tolist()
             sample_budget = 8 * n_online + 64
             check_quota = owner_id >= state.n_observers
             quota = self.config.quota
             quota_used = state.quota_used
             join = state.join
-            by_age = self._acceptance_kind == "age"
-            if by_age:
+            rule = self._acceptance_kind
+            owner_age = self._age(owner_id, now)
+            if rule == "age":
                 cap = self.acceptance.age_cap
-                owner_age = self._age(owner_id, now)
                 s_owner = owner_age if owner_age < cap else cap
+            decide = self.acceptance.decide
             seen = set(state.holders[owner_id])
             seen.add(owner_id)
             last = n_online - 1
@@ -919,7 +917,7 @@ class SoaSimulation:
                     if check_quota and quota_used[candidate_id] >= quota:
                         continue
                     fresh.append(candidate_id)
-                if by_age:
+                if rule == "age":
                     pairs = acceptance_take(2 * len(fresh))
                     for position, candidate_id in enumerate(fresh):
                         if len(accepted) >= target_size:
@@ -936,105 +934,28 @@ class SoaSimulation:
                         ) - s_cand:
                             continue
                         accepted.append((candidate_id, age))
-                else:
+                elif rule == "uniform":
                     for candidate_id in fresh:
                         if len(accepted) >= target_size:
                             break
                         examined += 1
                         accepted.append((candidate_id, now - join[candidate_id]))
-        self.metrics.record_pool(examined, len(accepted))
-        return accepted
-
-    def _fill_pool_generic(
-        self, owner_id: int, now: int, target_size: int, max_examined: int
-    ):
-        """Cold-path pool fill for custom rules / data-needing strategies.
-
-        A column-level mirror of ``SimulationDriver._fill_pool``: same
-        chunk sizes, same draw consumption (two acceptance uniforms per
-        examined candidate, unconditionally), scalar evaluation.
-        """
-        state = self.state
-        selection = self._selection_draws
-        acceptance = self._acceptance_draws
-        seen = set()
-        accepted = []
-        examined = 0
-        if self._online_size:
-            sample_budget = 8 * self._online_size + 64
-            owner_age = self._age(owner_id, now)
-            holder_set = set(state.holders[owner_id])
-            check_quota = owner_id >= state.n_observers
-            quota = self.config.quota
-            quota_used = state.quota_used
-            join = state.join
-            fast = self._fast_candidates
-            rule = self._acceptance_kind
-            if rule == "age":
-                cap = self.acceptance.age_cap
-                s_owner = owner_age if owner_age < cap else cap
-            while (
-                sample_budget > 0
-                and examined < max_examined
-                and len(accepted) < target_size
-            ):
-                chunk_size = pool_chunk_size(target_size - len(accepted))
-                if chunk_size > sample_budget:
-                    chunk_size = sample_budget
-                sample_budget -= chunk_size
-                if self._vector_kernel:
-                    items = self._online_items[: self._online_size].tolist()
                 else:
-                    items = self._online_items
-                n_items = len(items)
-                chunk = []
-                for u in selection.take(chunk_size):
-                    index = int(u * n_items)
-                    chunk.append(items[index if index < n_items else n_items - 1])
-                fresh = []
-                for candidate_id in chunk:
-                    if candidate_id in seen:
-                        continue
-                    seen.add(candidate_id)
-                    if candidate_id == owner_id or candidate_id in holder_set:
-                        continue
-                    if check_quota and quota_used[candidate_id] >= quota:
-                        continue
-                    fresh.append(candidate_id)
-                pairs = (
-                    acceptance.take(2 * len(fresh)) if rule != "uniform" else ()
-                )
-                for position, candidate_id in enumerate(fresh):
-                    if len(accepted) >= target_size:
-                        break
-                    examined += 1
-                    age = now - join[candidate_id]
-                    if rule == "age":
-                        s_cand = age if age < cap else cap
-                        if pairs[2 * position] * cap >= cap - s_owner + s_cand + 1:
-                            continue
-                        if (
-                            pairs[2 * position + 1] * cap
-                            >= cap - s_cand + s_owner + 1
+                    pairs = acceptance_take(2 * len(fresh))
+                    for position, candidate_id in enumerate(fresh):
+                        if len(accepted) >= target_size:
+                            break
+                        examined += 1
+                        age = now - join[candidate_id]
+                        if decide(owner_age, age, pairs[2 * position]) and decide(
+                            age, owner_age, pairs[2 * position + 1]
                         ):
-                            continue
-                    elif rule != "uniform":
-                        decide = self.acceptance.decide
-                        if not decide(owner_age, age, pairs[2 * position]):
-                            continue
-                        if not decide(age, owner_age, pairs[2 * position + 1]):
-                            continue
-                    if fast:
-                        accepted.append((candidate_id, age))
-                    else:
-                        accepted.append(self._describe_candidate(candidate_id))
-        del accepted[target_size:]
+                            accepted.append((candidate_id, age))
         self.metrics.record_pool(examined, len(accepted))
         return accepted
 
-    def _describe_candidate(self, candidate_id: int) -> Candidate:
+    def _describe_candidate(self, candidate_id: int, now: int) -> Candidate:
         state = self.state
-        now = self.round
         availability = None
         remaining = None
         if self._needs_availability:

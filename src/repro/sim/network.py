@@ -8,12 +8,9 @@ with the classic swap-pop/index-map construction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
-
-import numpy as np
+from typing import Dict, Iterator, List
 
 from .peer import Peer
-from .rng import BatchedDraws
 
 
 class SampleableSet:
@@ -40,32 +37,11 @@ class SampleableSet:
             self._items[position] = tail
             self._index[tail] = position
 
-    def sample(self, rng: np.random.Generator) -> Optional[int]:
-        """One uniform element, or ``None`` when empty."""
-        if not self._items:
-            return None
-        return self._items[int(rng.integers(len(self._items)))]
-
-    def sample_with(self, draws: BatchedDraws) -> Optional[int]:
-        """Like :meth:`sample` but fed from a batched draw buffer.
-
-        The engine's recruitment loop samples candidates hundreds of
-        thousands of times per run; the buffered index draw avoids a
-        scalar ``Generator.integers`` call (~1µs of pure call overhead)
-        per sample.
-        """
-        items = self._items
-        if not items:
-            return None
-        return items[draws.next_integer(len(items))]
-
     def sample_chunk(self, uniforms: List[float]) -> List[int]:
         """One uniform element per entry of ``uniforms`` (with replacement).
 
-        The chunked counterpart of :meth:`sample_with`, used by the pool
-        fill: the index arithmetic is identical (``int(u * n)``, clamped),
-        one element per uniform, in order.  The caller guarantees the set
-        is non-empty.
+        Used by the pool fill: ``int(u * n)``, clamped, one element per
+        uniform, in order.  The caller guarantees the set is non-empty.
         """
         items = self._items
         n = len(items)

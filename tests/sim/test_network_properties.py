@@ -1,7 +1,8 @@
 """Property tests for :class:`SampleableSet` against a reference model.
 
 The swap-pop/index-map construction must behave exactly like a plain
-``set`` under any interleaving of adds and discards, while sampling only
+``set`` under any interleaving of adds and discards, while sampling
+(:meth:`SampleableSet.sample_chunk`, the pool fill's entry point) only
 ever returns current members.  Hypothesis drives random operation
 sequences; the reference model is the built-in ``set``.
 """
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.network import SampleableSet
-from repro.sim.rng import BatchedDraws
 
 #: One operation: (op, value).  ``sample`` ignores its value.
 operations = st.lists(
@@ -27,7 +27,6 @@ operations = st.lists(
 @given(ops=operations, seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_matches_reference_set_model(ops, seed):
     rng = np.random.default_rng(seed)
-    draws = BatchedDraws(np.random.default_rng(seed + 1), block=16)
     sampleable = SampleableSet()
     model = set()
     for op, value in ops:
@@ -37,15 +36,10 @@ def test_matches_reference_set_model(ops, seed):
         elif op == "discard":
             sampleable.discard(value)
             model.discard(value)
-        else:
-            picked = sampleable.sample(rng)
-            picked_batched = sampleable.sample_with(draws)
-            if model:
-                assert picked in model
-                assert picked_batched in model
-            else:
-                assert picked is None
-                assert picked_batched is None
+        elif model:
+            picked = sampleable.sample_chunk(rng.random(4).tolist())
+            assert len(picked) == 4
+            assert set(picked) <= model
         # Invariants after every step.
         assert len(sampleable) == len(model)
         for member in model:
@@ -60,9 +54,8 @@ def test_every_member_is_reachable_by_sampling(members):
     sampleable = SampleableSet()
     for member in members:
         sampleable.add(member)
-    rng = np.random.default_rng(0)
-    seen = {sampleable.sample(rng) for _ in range(40 * len(members))}
-    assert seen == members
+    uniforms = np.random.default_rng(0).random(40 * len(members)).tolist()
+    assert set(sampleable.sample_chunk(uniforms)) == members
 
 
 def test_add_discard_idempotence():
@@ -73,4 +66,3 @@ def test_add_discard_idempotence():
     sampleable.discard(1)
     sampleable.discard(1)
     assert len(sampleable) == 0
-    assert sampleable.sample(np.random.default_rng(0)) is None

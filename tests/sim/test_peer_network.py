@@ -91,25 +91,21 @@ class TestSampleableSet:
         s.discard(3)  # idempotent
         assert len(s) == 9
 
-    def test_sample_empty(self):
-        assert SampleableSet().sample(np.random.default_rng(0)) is None
-
     def test_sample_returns_member(self):
         s = SampleableSet()
         for item in (10, 20, 30):
             s.add(item)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert s.sample(rng) in {10, 20, 30}
+        uniforms = np.random.default_rng(0).random(20).tolist()
+        assert set(s.sample_chunk(uniforms)) <= {10, 20, 30}
 
     def test_sample_is_roughly_uniform(self):
         s = SampleableSet()
         for item in range(5):
             s.add(item)
-        rng = np.random.default_rng(0)
+        uniforms = np.random.default_rng(0).random(10_000).tolist()
         counts = {i: 0 for i in range(5)}
-        for _ in range(10_000):
-            counts[s.sample(rng)] += 1
+        for item in s.sample_chunk(uniforms):
+            counts[item] += 1
         for count in counts.values():
             assert count == pytest.approx(2000, rel=0.15)
 

@@ -11,8 +11,11 @@ digest) of abstract-mode configs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
+from repro.core.acceptance import ACCEPTANCE_RULES, AcceptancePolicy
 from repro.exec import config_digest
 from repro.scenarios import available_scenarios, scenario_by_name
 from repro.sim.config import DEFAULT_FIDELITY
@@ -34,6 +37,17 @@ def _shrunk(name: str):
     )
 
 
+def _assert_full_results_match(scenario):
+    reference = run_simulation(scenario.with_fidelity("abstract").build())
+    vectorized = run_simulation(scenario.with_fidelity("abstract_soa").build())
+
+    expected = reference.to_dict()
+    actual = vectorized.to_dict()
+    # The configs differ by construction (the fidelity knob itself).
+    expected.pop("config"), actual.pop("config")
+    assert actual == expected
+
+
 @pytest.mark.parametrize("name", available_scenarios())
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_preset_matches_abstract(name, seed):
@@ -51,21 +65,52 @@ def test_every_preset_matches_abstract(name, seed):
     assert vectorized.peers_created == reference.peers_created
 
 
+@dataclass(frozen=True)
+class SoftenedAgePolicy(AcceptancePolicy):
+    """A custom rule: accepts at the midpoint of ``f`` and certainty.
+
+    Overriding ``decide`` makes both engines treat it as an opaque rule
+    and call it once per side, instead of inlining the age arithmetic.
+    """
+
+    def decide(self, own_age: float, candidate_age: float, uniform: float) -> bool:
+        return 2.0 * uniform < 1.0 + self.probability(own_age, candidate_age)
+
+
+@pytest.fixture(scope="module")
+def softened_rule():
+    ACCEPTANCE_RULES.register("softened_age", SoftenedAgePolicy)
+    yield "softened_age"
+    ACCEPTANCE_RULES.unregister("softened_age")
+
+
+@pytest.mark.parametrize("rule", ["age", "uniform", "custom"])
+@pytest.mark.parametrize("strategy", ["age", "random", "availability", "oracle"])
+@pytest.mark.parametrize("seed", (0, 1))
+def test_every_strategy_and_rule_matches_abstract(
+    strategy, rule, seed, softened_rule
+):
+    """Data-needing strategies and opaque rules take the scalar fill."""
+    if rule == "custom":
+        rule = softened_rule
+    scenario = _shrunk("paper").with_selection(strategy).with_acceptance(rule)
+    _assert_full_results_match(scenario.with_seed(seed))
+
+
 def test_full_result_dict_matches_on_paper_preset():
     """Beyond the headline metrics: the entire serialized result agrees.
 
     One preset suffices here (the grid above already covers the rest);
     this catches divergence in any series the coarse assertions miss.
     """
-    scenario = _shrunk("paper").with_seed(7)
-    reference = run_simulation(scenario.with_fidelity("abstract").build())
-    vectorized = run_simulation(scenario.with_fidelity("abstract_soa").build())
+    _assert_full_results_match(_shrunk("paper").with_seed(7))
 
-    expected = reference.to_dict()
-    actual = vectorized.to_dict()
-    # The configs differ by construction (the fidelity knob itself).
-    expected.pop("config"), actual.pop("config")
-    assert actual == expected
+
+def test_full_result_dict_matches_on_wide_code():
+    """A k = n - k = 32 code: pool targets of 96 candidates take the
+    vector fill even on the scalar kernel."""
+    scenario = _shrunk("paper").with_population(200).with_code(32, 32)
+    _assert_full_results_match(scenario.with_seed(7))
 
 
 class TestDigestInvariant:
